@@ -647,37 +647,47 @@ func BenchmarkFunctionalLoopFFT(b *testing.B) {
 }
 
 // BenchmarkFunctionalSTAPInnerProducts drives the STAP adaptive-weight
-// inner-product stage (a 3-level LOOP of complex DOTs) functionally.
+// inner-product stage (a 3-level LOOP of complex DOTs) functionally. The
+// serial and parallel modes run 16384 iterations, under the planner's node
+// cap, so they exercise the wavefront scheduler; stream runs stap.Small(),
+// whose 131072-iteration loop is over the cap and takes the streamed loop
+// executor instead.
 func BenchmarkFunctionalSTAPInnerProducts(b *testing.B) {
+	planned := stap.Params{Name: "bench", NChan: 4, NPulses: 16, NRange: 512,
+		NBlocks: 4, NSteering: 8, TDOF: 4, TBS: 32}
 	benchWorkerModes(b, func(b *testing.B, workers int) {
-		cfg := mealibrt.DefaultConfig()
-		cfg.Workers = workers
-		rt, err := mealibrt.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := stap.Params{Name: "bench", NChan: 4, NPulses: 16, NRange: 512,
-			NBlocks: 4, NSteering: 8, TDOF: 4, TBS: 32}
-		pl, err := stap.NewPipeline(p, rt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := pl.LoadDatacube(7); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := pl.DopplerProcess(); err != nil {
-			b.Fatal(err)
-		}
-		if err := pl.SolveWeights(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pl.InnerProducts(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchInnerProducts(b, planned, workers)
 	})
+	b.Run("stream", func(b *testing.B) { benchInnerProducts(b, stap.Small(), 0) })
+}
+
+// benchInnerProducts times InnerProducts on a loaded, solved pipeline.
+func benchInnerProducts(b *testing.B, p stap.Params, workers int) {
+	cfg := mealibrt.DefaultConfig()
+	cfg.Workers = workers
+	rt, err := mealibrt.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := stap.NewPipeline(p, rt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := pl.LoadDatacube(7); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := pl.DopplerProcess(); err != nil {
+		b.Fatal(err)
+	}
+	if err := pl.SolveWeights(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pl.InnerProducts(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkFunctionalSARFormImage drives the chained per-row RESMP+FFT SAR

@@ -186,7 +186,7 @@ func dotCore(s *phys.Space, a DotArgs) (Work, error) {
 		if err != nil {
 			return Work{}, err
 		}
-		if err := s.StoreComplex64s(a.Out, []complex64{r}); err != nil {
+		if err := s.WriteComplex64(a.Out, r); err != nil {
 			return Work{}, err
 		}
 		return Work{

@@ -2,13 +2,10 @@ package accel
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mealib/internal/descriptor"
-	"mealib/internal/noc"
 	"mealib/internal/phys"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
@@ -38,6 +35,10 @@ type layerMetrics struct {
 	fusionSpills    *telemetry.Counter
 	wavesPerLaunch  *telemetry.Histogram
 	waveWidth       *telemetry.Histogram
+	// loopVerdicts counts the streamed executor's independence decisions
+	// (accel.loop.parallel, accel.loop.serial_conflict, ...), indexed by
+	// indepVerdict: a loop that silently ran serially shows up here.
+	loopVerdicts [indepVerdicts]*telemetry.Counter
 	// Per-opcode activity, indexed by descriptor.OpCode.
 	opInv [descriptor.OpRESHP + 1]*telemetry.Counter
 	opNS  [descriptor.OpRESHP + 1]*telemetry.Counter
@@ -51,6 +52,9 @@ func (m *layerMetrics) init(reg *telemetry.Metrics) {
 	m.launches = reg.Counter("accel.launches")
 	m.nodes = reg.Counter("accel.nodes")
 	m.streamFallbacks = reg.Counter("accel.stream_fallbacks")
+	for v := range m.loopVerdicts {
+		m.loopVerdicts[v] = reg.Counter("accel.loop." + indepVerdict(v).String())
+	}
 	m.comps = reg.Counter("accel.comps")
 	m.bytesMoved = reg.Counter("accel.bytes_moved")
 	m.bytesElided = reg.Counter("accel.bytes_elided")
@@ -170,19 +174,6 @@ func (r *Report) opStats(op descriptor.OpCode) *OpStats {
 	return st
 }
 
-// add merges a single invocation into the report.
-func (r *Report) add(op descriptor.OpCode, w Work, c Cost) {
-	st := r.opStats(op)
-	st.Invocations++
-	st.Time += c.Time
-	st.Energy += c.Energy
-	st.Flops += w.Flops
-	st.Bytes += w.Total()
-	r.Time += c.Time
-	r.Energy += c.Energy
-	r.Comps++
-}
-
 // passInstr is one decoded comp within a pass.
 type passInstr struct {
 	op     descriptor.OpCode
@@ -273,8 +264,8 @@ func (l *Layer) RunModel(d *descriptor.Descriptor) (*Report, error) {
 
 // interpret lowers the descriptor into the execution-plan IR (plan.go) and
 // runs it with the wavefront scheduler (sched.go). Oversized expansions —
-// LOOP trip counts past planMaxNodes — stream through the legacy loop
-// executor instead of materialising the DAG; a hooked streaming launch
+// LOOP trip counts past planMaxNodes — stream through the loop executor
+// of loop.go instead of materialising the DAG; a hooked streaming launch
 // reports itself as a single unresolvable wave, so external gating falls
 // back to whole-launch ordering.
 func (l *Layer) interpret(d *descriptor.Descriptor, exec execFunc, tb *telemetry.Buf, hooks WaveHooks) (*Report, error) {
@@ -401,9 +392,9 @@ func (l *Layer) iterDispatch() units.Seconds {
 	return l.cfg.IterDispatchLatency / units.Seconds(l.cfg.Tiles)
 }
 
-// merge folds a per-iteration sub-report into r. Per-op stats merge in
+// merge folds a plan node's sub-report into r. Per-op stats merge in
 // opcode order so the float accumulation sequence is a pure function of the
-// iteration order — never of map iteration or goroutine completion order.
+// node order — never of map iteration or goroutine completion order.
 func (r *Report) merge(sub *Report) {
 	r.Time += sub.Time
 	r.Energy += sub.Energy
@@ -446,105 +437,24 @@ func iterVecAt(counts descriptor.LoopCounts, idx int64) IterVec {
 	return it
 }
 
-// loopWorkers sizes the worker pool for a loop of iters iterations:
-// cfg.Workers if set (1 forces serial; values above GOMAXPROCS are
-// honoured), else min(GOMAXPROCS, Tiles) — one worker per tile the decode
-// unit could dispatch to, never more than the host can run.
-func (l *Layer) loopWorkers(iters int64) int {
-	w := l.cfg.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > l.cfg.Tiles {
-			w = l.cfg.Tiles
+// advance steps it to the next iteration of the nest: iterVecAt(counts,
+// idx+1) from iterVecAt(counts, idx), without the divisions.
+func (it *IterVec) advance(counts descriptor.LoopCounts) {
+	for level := descriptor.MaxLoopLevels - 1; level >= 0; level-- {
+		it[level]++
+		if it[level] < int64(counts[level]) {
+			return
 		}
+		it[level] = 0
 	}
-	if int64(w) > iters {
-		w = int(iters)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
-// runIteration executes one full iteration of the loop body (all its
-// passes) into a fresh sub-report, including the iteration's dispatch
-// charge.
-func (l *Layer) runIteration(exec execFunc, passes [][]passInstr, it IterVec) (*Report, error) {
-	sub := newReport()
-	for _, p := range passes {
-		if err := l.runPass(exec, p, it, sub); err != nil {
-			return nil, err
-		}
-	}
-	sub.Time += l.iterDispatch()
-	return sub, nil
-}
-
-// runLoop iterates the hardware loop nest over its passes, bumping the
-// iteration vector the way the decode unit advances buffer addresses.
-// Iterations proven independent (disjoint read/write spans — the property
-// the compiler guarantees before emitting a LOOP, re-derived here by
-// loopIndependent) fan out across a worker pool, mirroring the decode
-// unit's round-robin tile dispatch. Both paths build one sub-report per
-// iteration and merge them in iteration order, so serial and parallel runs
-// produce byte-identical spaces and identical reports.
-func (l *Layer) runLoop(exec execFunc, counts descriptor.LoopCounts, passes [][]passInstr, rep *Report) error {
-	rep.Time += l.cfg.PassConfigLatency * units.Seconds(len(passes))
-	iters := counts.Total()
-	if workers := l.loopWorkers(iters); workers > 1 && loopIndependent(counts, passes, iters) {
-		return l.runLoopParallel(exec, counts, passes, rep, iters, workers)
-	}
-	for idx := int64(0); idx < iters; idx++ {
-		sub, err := l.runIteration(exec, passes, iterVecAt(counts, idx))
-		if err != nil {
-			return err
-		}
-		rep.merge(sub)
-	}
-	return nil
-}
-
-// runLoopParallel executes the iterations on workers goroutines claiming
-// indices from a shared counter, then merges the sub-reports in iteration
-// order. The first error in iteration order wins, matching what the serial
-// path would have returned.
-func (l *Layer) runLoopParallel(exec execFunc, counts descriptor.LoopCounts, passes [][]passInstr, rep *Report, iters int64, workers int) error {
-	subs := make([]*Report, iters)
-	errs := make([]error, iters)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := next.Add(1) - 1
-				if idx >= iters {
-					return
-				}
-				subs[idx], errs[idx] = l.runIteration(exec, passes, iterVecAt(counts, idx))
-			}
-		}()
-	}
-	wg.Wait()
-	for idx := int64(0); idx < iters; idx++ {
-		if errs[idx] != nil {
-			return errs[idx]
-		}
-		rep.merge(subs[idx])
-	}
-	return nil
-}
-
-// runPass executes one pass datapath: the comps run in order against the
-// space; chained intermediates move through tile-local memory over the NoC
-// instead of round-tripping through DRAM.
+// runPass executes one pass datapath at iteration it onto rep: the comps
+// run in order against the space, then chargePass continues rep's
+// accumulators exactly as if the pass's costs were added to them one by
+// one.
 func (l *Layer) runPass(exec execFunc, pass []passInstr, it IterVec, rep *Report) error {
-	if len(pass) == 0 {
-		return fmt.Errorf("accel: empty pass")
-	}
-	works := make([]Work, len(pass))
+	works := make([]Work, 2*len(pass))
 	for i, pi := range pass {
 		w, err := exec(pi.op, pi.params, it)
 		if err != nil {
@@ -552,61 +462,26 @@ func (l *Layer) runPass(exec execFunc, pass []passInstr, it IterVec, rep *Report
 		}
 		works[i] = w
 	}
-	// Chaining: producer i hands its output to consumer i+1 through tile
-	// local memory (paper Figure 12a). Remove the DRAM round trip and charge
-	// the NoC instead. The intermediate is distributed across all tiles, so
-	// the transfer proceeds over Tiles one-hop links in parallel, and a
-	// sizeable fraction never leaves its producing tile at all.
-	adjusted := make([]Work, len(pass))
-	copy(adjusted, works)
-	var nocTime units.Seconds
-	var nocEnergy units.Joules
-	lmCap := l.cfg.LMBytes * units.Bytes(l.cfg.Tiles)
-	for i := 0; i+1 < len(pass); i++ {
-		chained := adjusted[i].OutStream
-		if adjusted[i+1].InStream < chained {
-			chained = adjusted[i+1].InStream
-		}
-		// Chained data is buffered in the tile local memories; anything
-		// beyond their aggregate capacity spills to DRAM after all
-		// (store-and-forward in LM-sized chunks would serialise the
-		// stages, which the hardware avoids by spilling).
-		if chained > lmCap {
-			rep.LMSpillBytes += chained - lmCap
-			chained = lmCap
-		}
-		adjusted[i].OutStream -= chained
-		adjusted[i+1].InStream -= chained
-		perLink := chained / units.Bytes(l.cfg.Tiles)
-		t, e := l.cfg.Mesh.Transfer(noc.Coord{X: 0, Y: 0}, noc.Coord{X: 1, Y: 0}, perLink)
-		nocTime += t
-		nocEnergy += e * units.Joules(l.cfg.Tiles) / 2 // ~half stays tile-local
-		rep.NoCBytes += chained
-		// The DRAM store of the producer and load of the consumer both
-		// disappear.
-		rep.ElidedBytes += 2 * chained
+	slotOps := addSlotOps(nil, pass)
+	slices.Sort(slotOps)
+	comps, err := l.compilePass(pass, slotOps)
+	if err != nil {
+		return err
 	}
-	for i, pi := range pass {
-		c, err := l.cfg.OpCost(pi.op, adjusted[i])
-		if err != nil {
-			return err
+	ops := make([]OpStats, len(slotOps))
+	for i, op := range slotOps {
+		if st := rep.PerOp[op]; st != nil {
+			ops[i] = *st
 		}
-		// Remote-stack buffers stream over the inter-stack links instead of
-		// the local TSVs (paper §3.3: data should reside in the LMS).
-		remote, err := l.cfg.remoteBytes(pi.op, pi.params)
-		if err != nil {
-			return err
-		}
-		if remote > 0 {
-			extraT, extraE := l.cfg.remotePenalty(remote)
-			c.Time += extraT
-			c.Energy += extraE
-			rep.RemoteBytes += remote
-		}
-		rep.add(pi.op, works[i], c)
 	}
-	rep.Time += nocTime
-	rep.Energy += nocEnergy
+	h := rep.costs()
+	if err := l.chargePass(comps, works, &h, ops); err != nil {
+		return err
+	}
+	rep.setCosts(h)
+	for i, op := range slotOps {
+		*rep.opStats(op) = ops[i]
+	}
 	return nil
 }
 

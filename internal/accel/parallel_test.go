@@ -57,6 +57,15 @@ func requireReportsIdentical(t *testing.T, serial, parallel *Report) {
 	if serial.RemoteBytes != parallel.RemoteBytes {
 		t.Errorf("RemoteBytes: serial %d, parallel %d", serial.RemoteBytes, parallel.RemoteBytes)
 	}
+	if serial.ElidedBytes != parallel.ElidedBytes {
+		t.Errorf("ElidedBytes: serial %d, parallel %d", serial.ElidedBytes, parallel.ElidedBytes)
+	}
+	if serial.OOCChunks != parallel.OOCChunks {
+		t.Errorf("OOCChunks: serial %d, parallel %d", serial.OOCChunks, parallel.OOCChunks)
+	}
+	if serial.StagedBytes != parallel.StagedBytes {
+		t.Errorf("StagedBytes: serial %d, parallel %d", serial.StagedBytes, parallel.StagedBytes)
+	}
 	if len(serial.PerOp) != len(parallel.PerOp) {
 		t.Fatalf("PerOp sizes differ: %d vs %d", len(serial.PerOp), len(parallel.PerOp))
 	}
@@ -80,8 +89,8 @@ func requireReportsIdentical(t *testing.T, serial, parallel *Report) {
 // parallel (Workers=4 — above this host's core count, which still
 // interleaves goroutines and lets -race observe conflicts), runs the
 // descriptor built by build on both, and requires bit-identical arena
-// contents and identical reports.
-func runDifferential(t *testing.T, build func(r *testRig) *descriptor.Descriptor) {
+// contents and identical reports. It returns the serial report.
+func runDifferential(t *testing.T, build func(r *testRig) *descriptor.Descriptor) *Report {
 	t.Helper()
 	serialRig := newRigWorkers(t, 1)
 	parallelRig := newRigWorkers(t, 4)
@@ -105,6 +114,7 @@ func runDifferential(t *testing.T, build func(r *testRig) *descriptor.Descriptor
 		}
 	}
 	requireReportsIdentical(t, sRep, pRep)
+	return sRep
 }
 
 // storeRandF32 fills [addr, addr+4n) with seeded noise.

@@ -210,6 +210,12 @@ func (s *Space) WriteFloat32(addr Addr, v float32) error {
 	return s.WriteUint32(addr, math.Float32bits(v))
 }
 
+// WriteComplex64 writes one complex64 as its interleaved re,im float32
+// pair — StoreComplex64s of a single value, without the staging slice.
+func (s *Space) WriteComplex64(addr Addr, v complex64) error {
+	return s.WriteUint64(addr, uint64(math.Float32bits(real(v)))|uint64(math.Float32bits(imag(v)))<<32)
+}
+
 // LoadFloat32s copies n float32 values starting at addr.
 func (s *Space) LoadFloat32s(addr Addr, n int) ([]float32, error) {
 	b, err := s.slice(addr, 4*n)

@@ -157,6 +157,30 @@ func TestBulkComplex64(t *testing.T) {
 	}
 }
 
+// TestWriteComplex64MatchesStore requires the single-value write to lay
+// out exactly the bytes StoreComplex64s does.
+func TestWriteComplex64MatchesStore(t *testing.T) {
+	s := NewSpace(64 * units.KiB)
+	if _, err := s.Map(0, 4096); err != nil {
+		t.Fatal(err)
+	}
+	v := complex64(complex(1e10, -1e-10))
+	if err := s.StoreComplex64s(64, []complex64{v}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteComplex64(128, v); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := s.ViewBytes(64, 8)
+	got, _ := s.ViewBytes(128, 8)
+	if string(got) != string(want) {
+		t.Errorf("WriteComplex64 bytes %x, StoreComplex64s bytes %x", got, want)
+	}
+	if err := s.WriteComplex64(4092, v); err == nil {
+		t.Error("a write past the region end must fail")
+	}
+}
+
 func TestInt32s(t *testing.T) {
 	s := NewSpace(64 * units.KiB)
 	if _, err := s.Map(0, 4096); err != nil {
