@@ -31,6 +31,10 @@ go test -race -run 'Differential|Submit|ExplainPlan|PlanInterleaves' \
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> mealibd wire-parser fuzz smoke (frames and descriptors from untrusted peers)"
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/mealibd
+go test -run '^$' -fuzz '^FuzzUnmarshalDescriptor$' -fuzztime 5s ./internal/mealibd
+
 echo "==> mealint flag smoke (-analyzers filter, -json output)"
 test "$(go run ./cmd/mealint -analyzers addrflow -json ./internal/phys)" = "[]"
 

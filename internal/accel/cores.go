@@ -74,78 +74,30 @@ func overlaps(a phys.Addr, an int64, b phys.Addr, bn int64) bool {
 // its workload profile. it is the LOOP nest iteration vector used to
 // advance strided buffers.
 func execute(s *phys.Space, op descriptor.OpCode, p descriptor.Params, it IterVec) (Work, error) {
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(p)
-		if err != nil {
-			return Work{}, err
-		}
-		return axpyCore(s, a.shift(it))
-	case descriptor.OpDOT:
-		a, err := DecodeDotArgs(p)
-		if err != nil {
-			return Work{}, err
-		}
-		return dotCore(s, a.shift(it))
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(p)
-		if err != nil {
-			return Work{}, err
-		}
-		return gemvCore(s, a.shift(it))
-	case descriptor.OpSPMV:
-		a, err := DecodeSpmvArgs(p)
-		if err != nil {
-			return Work{}, err
-		}
-		return spmvCore(s, a)
-	case descriptor.OpRESMP:
-		a, err := DecodeResmpArgs(p)
-		if err != nil {
-			return Work{}, err
-		}
-		return resmpCore(s, a.shift(it))
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(p)
-		if err != nil {
-			return Work{}, err
-		}
-		return fftCore(s, a.shift(it))
-	case descriptor.OpRESHP:
-		a, err := DecodeReshpArgs(p)
-		if err != nil {
-			return Work{}, err
-		}
-		return reshpCore(s, a)
-	default:
+	e := SpecOf(op)
+	if e == nil {
 		return Work{}, fmt.Errorf("accel: no core for opcode %v", op)
 	}
+	return e.exec(s, p, it)
 }
 
-// span returns the number of elements a strided vector touches.
-func span(n, inc int64) int {
-	if n <= 0 {
-		return 0
-	}
-	a := inc
-	if a < 0 {
-		a = -a
-	}
-	return int((n-1)*a + 1)
-}
+// The cores below run one invocation at loop iteration it (SPMV and RESHP
+// have no loop strides); the table entry (spec.go) decodes the arguments
+// and reports the work profile.
 
-func axpyCore(s *phys.Space, a AxpyArgs) (Work, error) {
+func axpyCore(s *phys.Space, a AxpyArgs, it IterVec) error {
+	a = a.shift(it)
 	if a.N < 0 {
-		return Work{}, fmt.Errorf("accel: AXPY: negative n %d", a.N)
+		return fmt.Errorf("accel: AXPY: negative n %d", a.N)
 	}
 	nx, ny := span(a.N, a.IncX), span(a.N, a.IncY)
 	x, err := s.ViewFloat32s(a.X, nx)
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: AXPY x: %w", err)
+		return fmt.Errorf("accel: AXPY x: %w", err)
 	}
 	y, err := s.ViewFloat32s(a.Y, ny)
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: AXPY y: %w", err)
+		return fmt.Errorf("accel: AXPY y: %w", err)
 	}
 	xs := x.Data
 	// If both views alias DRAM and the spans overlap, snapshot x so the
@@ -157,69 +109,50 @@ func axpyCore(s *phys.Space, a AxpyArgs) (Work, error) {
 		xs = *p
 	}
 	if err := kernels.Saxpy(int(a.N), a.Alpha, xs, int(a.IncX), y.Data, int(a.IncY)); err != nil {
-		return Work{}, err
+		return err
 	}
-	if err := y.Commit(); err != nil {
-		return Work{}, err
-	}
-	return Work{
-		Flops:     kernels.SaxpyFlops(int(a.N)),
-		InStream:  units.Bytes(4 * (nx + ny)),
-		OutStream: units.Bytes(4 * ny),
-	}, nil
+	return y.Commit()
 }
 
-func dotCore(s *phys.Space, a DotArgs) (Work, error) {
+func dotCore(s *phys.Space, a DotArgs, it IterVec) error {
+	a = a.shift(it)
 	if a.N < 0 {
-		return Work{}, fmt.Errorf("accel: DOT: negative n %d", a.N)
+		return fmt.Errorf("accel: DOT: negative n %d", a.N)
 	}
 	if a.Complex {
 		x, err := s.ViewComplex64s(a.X, span(a.N, a.IncX))
 		if err != nil {
-			return Work{}, fmt.Errorf("accel: DOT x: %w", err)
+			return fmt.Errorf("accel: DOT x: %w", err)
 		}
 		y, err := s.ViewComplex64s(a.Y, span(a.N, a.IncY))
 		if err != nil {
-			return Work{}, fmt.Errorf("accel: DOT y: %w", err)
+			return fmt.Errorf("accel: DOT y: %w", err)
 		}
 		r, err := kernels.Cdotc(int(a.N), x.Data, int(a.IncX), y.Data, int(a.IncY))
 		if err != nil {
-			return Work{}, err
+			return err
 		}
-		if err := s.WriteComplex64(a.Out, r); err != nil {
-			return Work{}, err
-		}
-		return Work{
-			Flops:     kernels.CdotcFlops(int(a.N)),
-			InStream:  units.Bytes(8 * (span(a.N, a.IncX) + span(a.N, a.IncY))),
-			OutStream: 8,
-		}, nil
+		return s.WriteComplex64(a.Out, r)
 	}
 	x, err := s.ViewFloat32s(a.X, span(a.N, a.IncX))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: DOT x: %w", err)
+		return fmt.Errorf("accel: DOT x: %w", err)
 	}
 	y, err := s.ViewFloat32s(a.Y, span(a.N, a.IncY))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: DOT y: %w", err)
+		return fmt.Errorf("accel: DOT y: %w", err)
 	}
 	r, err := kernels.Sdot(int(a.N), x.Data, int(a.IncX), y.Data, int(a.IncY))
 	if err != nil {
-		return Work{}, err
+		return err
 	}
-	if err := s.WriteFloat32(a.Out, r); err != nil {
-		return Work{}, err
-	}
-	return Work{
-		Flops:     kernels.SdotFlops(int(a.N)),
-		InStream:  units.Bytes(4 * (span(a.N, a.IncX) + span(a.N, a.IncY))),
-		OutStream: 4,
-	}, nil
+	return s.WriteFloat32(a.Out, r)
 }
 
-func gemvCore(s *phys.Space, a GemvArgs) (Work, error) {
+func gemvCore(s *phys.Space, a GemvArgs, it IterVec) error {
+	a = a.shift(it)
 	if a.M < 0 || a.N < 0 || a.Lda < a.N {
-		return Work{}, fmt.Errorf("accel: GEMV: bad dimensions m=%d n=%d lda=%d", a.M, a.N, a.Lda)
+		return fmt.Errorf("accel: GEMV: bad dimensions m=%d n=%d lda=%d", a.M, a.N, a.Lda)
 	}
 	matLen := 0
 	if a.M > 0 {
@@ -227,15 +160,15 @@ func gemvCore(s *phys.Space, a GemvArgs) (Work, error) {
 	}
 	mat, err := s.ViewFloat32s(a.A, matLen)
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: GEMV A: %w", err)
+		return fmt.Errorf("accel: GEMV A: %w", err)
 	}
 	x, err := s.ViewFloat32s(a.X, int(a.N))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: GEMV x: %w", err)
+		return fmt.Errorf("accel: GEMV x: %w", err)
 	}
 	y, err := s.ViewFloat32s(a.Y, int(a.M))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: GEMV y: %w", err)
+		return fmt.Errorf("accel: GEMV y: %w", err)
 	}
 	// y is written row by row while A and x are still being read: snapshot
 	// any aliased read operand the y span overlaps.
@@ -253,41 +186,34 @@ func gemvCore(s *phys.Space, a GemvArgs) (Work, error) {
 		xs = *p
 	}
 	if err := kernels.Sgemv(int(a.M), int(a.N), a.Alpha, ms, int(a.Lda), xs, a.Beta, y.Data); err != nil {
-		return Work{}, err
+		return err
 	}
-	if err := y.Commit(); err != nil {
-		return Work{}, err
-	}
-	return Work{
-		Flops:     kernels.SgemvFlops(int(a.M), int(a.N)),
-		InStream:  units.Bytes(4 * (int64(matLen) + a.N + a.M)),
-		OutStream: units.Bytes(4 * a.M),
-	}, nil
+	return y.Commit()
 }
 
-func spmvCore(s *phys.Space, a SpmvArgs) (Work, error) {
+func spmvCore(s *phys.Space, a SpmvArgs, _ IterVec) error {
 	if a.M < 0 || a.Cols < 0 || a.NNZ < 0 {
-		return Work{}, fmt.Errorf("accel: SPMV: negative dimensions")
+		return fmt.Errorf("accel: SPMV: negative dimensions")
 	}
 	rowPtr, err := s.ViewInt32s(a.RowPtr, int(a.M)+1)
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: SPMV rowPtr: %w", err)
+		return fmt.Errorf("accel: SPMV rowPtr: %w", err)
 	}
 	colIdx, err := s.ViewInt32s(a.ColIdx, int(a.NNZ))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: SPMV colIdx: %w", err)
+		return fmt.Errorf("accel: SPMV colIdx: %w", err)
 	}
 	values, err := s.ViewFloat32s(a.Values, int(a.NNZ))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: SPMV values: %w", err)
+		return fmt.Errorf("accel: SPMV values: %w", err)
 	}
 	x, err := s.ViewFloat32s(a.X, int(a.Cols))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: SPMV x: %w", err)
+		return fmt.Errorf("accel: SPMV x: %w", err)
 	}
 	y, err := s.ViewFloat32s(a.Y, int(a.M))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: SPMV y: %w", err)
+		return fmt.Errorf("accel: SPMV y: %w", err)
 	}
 	// The gather vector is the only read operand whose elements are revisited
 	// while y is written; snapshot it if y aliases over it.
@@ -307,33 +233,24 @@ func spmvCore(s *phys.Space, a SpmvArgs) (Work, error) {
 		err = kernels.SpmvCSRSemiring(int(a.M), rowPtr.Data, colIdx.Data, values.Data, xs, y.Data, a.Semiring, a.Bias)
 	}
 	if err != nil {
-		return Work{}, err
+		return err
 	}
-	if err := y.Commit(); err != nil {
-		return Work{}, err
-	}
-	return Work{
-		Flops: kernels.SpmvFlops(int(a.NNZ)),
-		// Streams: values, indices, row pointers in; y out.
-		InStream:  units.Bytes(4 * (2*a.NNZ + a.M + 1)),
-		OutStream: units.Bytes(4 * a.M),
-		// Gathers of x are the random component.
-		Random: units.Bytes(4 * a.NNZ),
-	}, nil
+	return y.Commit()
 }
 
-func resmpCore(s *phys.Space, a ResmpArgs) (Work, error) {
+func resmpCore(s *phys.Space, a ResmpArgs, it IterVec) error {
+	a = a.shift(it)
 	if a.NIn < 2 || a.NOut < 0 {
-		return Work{}, fmt.Errorf("accel: RESMP: bad sizes in=%d out=%d", a.NIn, a.NOut)
+		return fmt.Errorf("accel: RESMP: bad sizes in=%d out=%d", a.NIn, a.NOut)
 	}
 	if a.Kind >= ResmpComplex {
 		src, err := s.ViewComplex64s(a.Src, int(a.NIn))
 		if err != nil {
-			return Work{}, fmt.Errorf("accel: RESMP src: %w", err)
+			return fmt.Errorf("accel: RESMP src: %w", err)
 		}
 		dst, err := s.ViewComplex64s(a.Dst, int(a.NOut))
 		if err != nil {
-			return Work{}, fmt.Errorf("accel: RESMP dst: %w", err)
+			return fmt.Errorf("accel: RESMP dst: %w", err)
 		}
 		ss := src.Data
 		if src.Aliased() && dst.Aliased() && overlaps(a.Src, 8*a.NIn, a.Dst, 8*a.NOut) {
@@ -343,24 +260,17 @@ func resmpCore(s *phys.Space, a ResmpArgs) (Work, error) {
 			ss = *p
 		}
 		if err := kernels.ResampleC64(ss, dst.Data, kernels.InterpKind(a.Kind-ResmpComplex)); err != nil {
-			return Work{}, err
+			return err
 		}
-		if err := dst.Commit(); err != nil {
-			return Work{}, err
-		}
-		return Work{
-			Flops:     2 * kernels.ResampleFlops(int(a.NOut)),
-			InStream:  units.Bytes(8 * a.NIn),
-			OutStream: units.Bytes(8 * a.NOut),
-		}, nil
+		return dst.Commit()
 	}
 	src, err := s.ViewFloat32s(a.Src, int(a.NIn))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: RESMP src: %w", err)
+		return fmt.Errorf("accel: RESMP src: %w", err)
 	}
 	dst, err := s.ViewFloat32s(a.Dst, int(a.NOut))
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: RESMP dst: %w", err)
+		return fmt.Errorf("accel: RESMP dst: %w", err)
 	}
 	ss := src.Data
 	if src.Aliased() && dst.Aliased() && overlaps(a.Src, 4*a.NIn, a.Dst, 4*a.NOut) {
@@ -370,21 +280,15 @@ func resmpCore(s *phys.Space, a ResmpArgs) (Work, error) {
 		ss = *p
 	}
 	if err := kernels.Resample(ss, dst.Data, kernels.InterpKind(a.Kind)); err != nil {
-		return Work{}, err
+		return err
 	}
-	if err := dst.Commit(); err != nil {
-		return Work{}, err
-	}
-	return Work{
-		Flops:     kernels.ResampleFlops(int(a.NOut)),
-		InStream:  units.Bytes(4 * a.NIn),
-		OutStream: units.Bytes(4 * a.NOut),
-	}, nil
+	return dst.Commit()
 }
 
-func fftCore(s *phys.Space, a FFTArgs) (Work, error) {
+func fftCore(s *phys.Space, a FFTArgs, it IterVec) error {
+	a = a.shift(it)
 	if a.N < 1 || a.HowMany < 1 {
-		return Work{}, fmt.Errorf("accel: FFT: bad sizes n=%d howmany=%d", a.N, a.HowMany)
+		return fmt.Errorf("accel: FFT: bad sizes n=%d howmany=%d", a.N, a.HowMany)
 	}
 	total := int(a.N * a.HowMany)
 	dir := kernels.Forward
@@ -396,21 +300,16 @@ func fftCore(s *phys.Space, a FFTArgs) (Work, error) {
 	// for the table once, not per iteration.
 	plan, err := kernels.SharedFFTPlan(int(a.N), dir)
 	if err != nil {
-		return Work{}, err
-	}
-	work := Work{
-		Flops:     units.Flops(float64(a.HowMany)) * kernels.FFTFlops(int(a.N)),
-		InStream:  units.Bytes(8 * int64(total)),
-		OutStream: units.Bytes(8 * int64(total)),
+		return err
 	}
 	dst, err := s.ViewComplex64s(a.Dst, total)
 	if err != nil {
-		return Work{}, fmt.Errorf("accel: FFT dst: %w", err)
+		return fmt.Errorf("accel: FFT dst: %w", err)
 	}
 	if a.Src != a.Dst {
 		src, err := s.ViewComplex64s(a.Src, total)
 		if err != nil {
-			return Work{}, fmt.Errorf("accel: FFT src: %w", err)
+			return fmt.Errorf("accel: FFT src: %w", err)
 		}
 		// Out of place: move the input into dst, then transform in place.
 		// copy has memmove semantics, so overlapping aliased views still
@@ -418,48 +317,38 @@ func fftCore(s *phys.Space, a FFTArgs) (Work, error) {
 		copy(dst.Data, src.Data)
 	}
 	if err := kernels.FFTBatch(plan, dst.Data, int(a.HowMany)); err != nil {
-		return Work{}, err
+		return err
 	}
-	if err := dst.Commit(); err != nil {
-		return Work{}, err
-	}
-	return work, nil
+	return dst.Commit()
 }
 
-func reshpCore(s *phys.Space, a ReshpArgs) (Work, error) {
+func reshpCore(s *phys.Space, a ReshpArgs, _ IterVec) error {
 	if a.Rows < 0 || a.Cols < 0 {
-		return Work{}, fmt.Errorf("accel: RESHP: negative dimensions")
+		return fmt.Errorf("accel: RESHP: negative dimensions")
 	}
 	n := int(a.Rows * a.Cols)
 	switch a.Elem {
 	case ElemF32:
-		work := Work{
-			InStream:  units.Bytes(4 * int64(n)),
-			OutStream: units.Bytes(4 * int64(n)),
-		}
 		if a.Src == a.Dst && a.Rows == a.Cols {
 			// Square in-place transpose, directly on the view. Non-square
 			// exact aliases take the general path below, where the overlap
 			// snapshot preserves copy semantics.
 			data, err := s.ViewFloat32s(a.Src, n)
 			if err != nil {
-				return Work{}, fmt.Errorf("accel: RESHP src: %w", err)
+				return fmt.Errorf("accel: RESHP src: %w", err)
 			}
 			if err := kernels.TransposeInPlace(int(a.Rows), data.Data); err != nil {
-				return Work{}, err
+				return err
 			}
-			if err := data.Commit(); err != nil {
-				return Work{}, err
-			}
-			return work, nil
+			return data.Commit()
 		}
 		src, err := s.ViewFloat32s(a.Src, n)
 		if err != nil {
-			return Work{}, fmt.Errorf("accel: RESHP src: %w", err)
+			return fmt.Errorf("accel: RESHP src: %w", err)
 		}
 		dst, err := s.ViewFloat32s(a.Dst, n)
 		if err != nil {
-			return Work{}, fmt.Errorf("accel: RESHP dst: %w", err)
+			return fmt.Errorf("accel: RESHP dst: %w", err)
 		}
 		ss := src.Data
 		if src.Aliased() && dst.Aliased() && overlaps(a.Src, 4*int64(n), a.Dst, 4*int64(n)) {
@@ -469,22 +358,15 @@ func reshpCore(s *phys.Space, a ReshpArgs) (Work, error) {
 			ss = *p
 		}
 		if err := kernels.Transpose(int(a.Rows), int(a.Cols), ss, dst.Data); err != nil {
-			return Work{}, err
+			return err
 		}
-		if err := dst.Commit(); err != nil {
-			return Work{}, err
-		}
-		return work, nil
+		return dst.Commit()
 	case ElemC64:
-		work := Work{
-			InStream:  units.Bytes(8 * int64(n)),
-			OutStream: units.Bytes(8 * int64(n)),
-		}
 		r, c := int(a.Rows), int(a.Cols)
 		if a.Src == a.Dst && r == c {
 			data, err := s.ViewComplex64s(a.Src, n)
 			if err != nil {
-				return Work{}, fmt.Errorf("accel: RESHP src: %w", err)
+				return fmt.Errorf("accel: RESHP src: %w", err)
 			}
 			d := data.Data
 			for i := 0; i < r; i++ {
@@ -492,18 +374,15 @@ func reshpCore(s *phys.Space, a ReshpArgs) (Work, error) {
 					d[i*c+j], d[j*r+i] = d[j*r+i], d[i*c+j]
 				}
 			}
-			if err := data.Commit(); err != nil {
-				return Work{}, err
-			}
-			return work, nil
+			return data.Commit()
 		}
 		src, err := s.ViewComplex64s(a.Src, n)
 		if err != nil {
-			return Work{}, fmt.Errorf("accel: RESHP src: %w", err)
+			return fmt.Errorf("accel: RESHP src: %w", err)
 		}
 		dst, err := s.ViewComplex64s(a.Dst, n)
 		if err != nil {
-			return Work{}, fmt.Errorf("accel: RESHP dst: %w", err)
+			return fmt.Errorf("accel: RESHP dst: %w", err)
 		}
 		ss := src.Data
 		if src.Aliased() && dst.Aliased() && overlaps(a.Src, 8*int64(n), a.Dst, 8*int64(n)) {
@@ -517,11 +396,8 @@ func reshpCore(s *phys.Space, a ReshpArgs) (Work, error) {
 				dst.Data[j*r+i] = ss[i*c+j]
 			}
 		}
-		if err := dst.Commit(); err != nil {
-			return Work{}, err
-		}
-		return work, nil
+		return dst.Commit()
 	default:
-		return Work{}, fmt.Errorf("accel: RESHP: unknown element kind %d", a.Elem)
+		return fmt.Errorf("accel: RESHP: unknown element kind %d", a.Elem)
 	}
 }

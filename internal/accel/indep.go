@@ -53,107 +53,27 @@ type ioSpan struct {
 
 // ioSpansOf lists the directional spans of one invocation at iteration it.
 // Unlike spansOf (locality classification), reads and writes are separated
-// and read-modify-write operands appear in both directions.
+// and read-modify-write operands appear in both directions, read first.
 func ioSpansOf(op descriptor.OpCode, p descriptor.Params, it IterVec) ([]ioSpan, error) {
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		return []ioSpan{
-			{a.X, units.Bytes(4 * span64(a.N, a.IncX)), false},
-			{a.Y, units.Bytes(4 * span64(a.N, a.IncY)), false}, // y is read (accumulated) ...
-			{a.Y, units.Bytes(4 * span64(a.N, a.IncY)), true},  // ... and written
-		}, nil
-	case descriptor.OpDOT:
-		a, err := DecodeDotArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		elem := int64(4)
-		if a.Complex {
-			elem = 8
-		}
-		return []ioSpan{
-			{a.X, units.Bytes(elem * span64(a.N, a.IncX)), false},
-			{a.Y, units.Bytes(elem * span64(a.N, a.IncY)), false},
-			{a.Out, units.Bytes(elem), true},
-		}, nil
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		matLen := int64(0)
-		if a.M > 0 {
-			matLen = (a.M-1)*a.Lda + a.N
-		}
-		return []ioSpan{
-			{a.A, units.Bytes(4 * matLen), false},
-			{a.X, units.Bytes(4 * a.N), false},
-			{a.Y, units.Bytes(4 * a.M), false}, // beta scaling reads y
-			{a.Y, units.Bytes(4 * a.M), true},
-		}, nil
-	case descriptor.OpSPMV:
-		a, err := DecodeSpmvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		// SPMV has no loop strides: every iteration touches the same spans,
-		// so inside a LOOP it always reports a conflict (correctly).
-		return []ioSpan{
-			{a.RowPtr, units.Bytes(4 * (a.M + 1)), false},
-			{a.ColIdx, units.Bytes(4 * a.NNZ), false},
-			{a.Values, units.Bytes(4 * a.NNZ), false},
-			{a.X, units.Bytes(4 * a.Cols), false},
-			{a.Y, units.Bytes(4 * a.M), true},
-		}, nil
-	case descriptor.OpRESMP:
-		a, err := DecodeResmpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		elem := int64(4)
-		if a.Kind >= ResmpComplex {
-			elem = 8
-		}
-		return []ioSpan{
-			{a.Src, units.Bytes(elem * a.NIn), false},
-			{a.Dst, units.Bytes(elem * a.NOut), true},
-		}, nil
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		total := 8 * a.N * a.HowMany
-		return []ioSpan{
-			{a.Src, units.Bytes(total), false},
-			{a.Dst, units.Bytes(total), true},
-		}, nil
-	case descriptor.OpRESHP:
-		a, err := DecodeReshpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Elem == ElemC64 {
-			elem = 8
-		}
-		n := elem * a.Rows * a.Cols
-		return []ioSpan{
-			{a.Src, units.Bytes(n), false},
-			{a.Dst, units.Bytes(n), true},
-		}, nil
-	default:
+	e := SpecOf(op)
+	if e == nil {
 		return nil, nil
 	}
+	sz, err := e.sizes(p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ioSpan, 0, e.ioSpans)
+	for i, o := range e.ops {
+		addr := e.addrAt(p, i, it)
+		if o.acc&AccRead != 0 {
+			out = append(out, ioSpan{addr, sz[i].Bytes(), false})
+		}
+		if o.acc&AccWrite != 0 {
+			out = append(out, ioSpan{addr, sz[i].Bytes(), true})
+		}
+	}
+	return out, nil
 }
 
 // iterEvent is one span tagged with the iteration that owns it.
@@ -262,33 +182,32 @@ func (s *ioStream) at(it IterVec) (start, end uint64) {
 	return start, start + uint64(s.bytes)
 }
 
-// streamsOf lists the directional streams of one comp. Strides come from
-// ioSpansOf itself, evaluated at the origin and at each unit iteration
-// vector: the spans are affine in it, so the differences are exactly the
-// per-level strides. ok is false when the comp's spans cannot be resolved.
+// streamsOf lists the directional streams of one comp, in ioSpansOf's
+// order, each following its operand's loop strides. ok is false when the
+// comp's spans cannot be resolved.
 func streamsOf(op descriptor.OpCode, p descriptor.Params, counts descriptor.LoopCounts) (streams []ioStream, ok bool) {
-	origin, err := ioSpansOf(op, p, IterVec{})
-	if err != nil || origin == nil {
+	e := SpecOf(op)
+	if e == nil {
 		return nil, false
 	}
-	var unit [descriptor.MaxLoopLevels][]ioSpan
-	for level := range unit {
-		var it IterVec
-		it[level] = 1
-		if unit[level], err = ioSpansOf(op, p, it); err != nil {
-			return nil, false
-		}
+	sz, err := e.sizes(p)
+	if err != nil {
+		return nil, false
 	}
-	for k, sp := range origin {
-		if sp.bytes <= 0 {
+	for i, o := range e.ops {
+		bytes := sz[i].Bytes()
+		if bytes <= 0 {
 			continue
 		}
-		st := ioStream{base: uint64(sp.addr), bytes: sp.bytes, write: sp.write}
-		for level := range unit {
-			st.stride[level] = int64(uint64(unit[level][k].addr) - st.base)
-		}
+		addr, stride := e.at(p, i)
+		st := ioStream{base: uint64(addr), stride: stride, bytes: bytes}
 		st.lo, st.hi, st.bounded = hullOf(st.base, st.stride, st.bytes, counts)
-		streams = append(streams, st)
+		for _, dir := range [...]Access{AccRead, AccWrite} {
+			if o.acc&dir != 0 {
+				st.write = dir == AccWrite
+				streams = append(streams, st)
+			}
+		}
 	}
 	return streams, true
 }

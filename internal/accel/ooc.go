@@ -151,180 +151,47 @@ func boxesOverlap(a, b []oocBox) bool {
 // and zeroes the loop strides, producing the params of a standalone
 // (top-level) pass equivalent to this iteration's invocation.
 func shiftedParams(op descriptor.OpCode, p descriptor.Params, it IterVec) (descriptor.Params, error) {
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideX, a.LoopStrideY = Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpDOT:
-		a, err := DecodeDotArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideX, a.LoopStrideY, a.LoopStrideOut = Strides{}, Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideA, a.LoopStrideX, a.LoopStrideY = Strides{}, Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpRESMP:
-		a, err := DecodeResmpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideSrc, a.LoopStrideDst = Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideSrc, a.LoopStrideDst = Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpSPMV, descriptor.OpRESHP:
-		// No loop strides: every iteration names the same addresses.
-		return p, nil
-	default:
+	e := SpecOf(op)
+	if e == nil {
 		return nil, fmt.Errorf("accel: ooc: unknown op %v", op)
 	}
+	if !e.strided {
+		return p, nil // every iteration names the same addresses
+	}
+	q, err := e.canon(p)
+	if err != nil {
+		return nil, err
+	}
+	for _, o := range e.ops {
+		if k := o.stride; k >= 0 {
+			q[o.field] += uint64(stridesOf(q[k:]).Offset(it))
+			clear(q[k : k+descriptor.MaxLoopLevels])
+		}
+	}
+	return q, nil
 }
 
 // rebaseComp relocates a comp's window addresses via mapAddr. Each operand
-// is mapped with its full span so the relocation is rejected unless the
-// whole access lands inside one staged extent.
+// is mapped with its full footprint so the relocation is rejected unless
+// the whole access lands inside one staged extent.
 func rebaseComp(op descriptor.OpCode, p descriptor.Params, mapAddr func(phys.Addr, units.Bytes) (phys.Addr, error)) (descriptor.Params, error) {
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		if a.X, err = mapAddr(a.X, units.Bytes(4*span64(a.N, a.IncX))); err != nil {
-			return nil, err
-		}
-		if a.Y, err = mapAddr(a.Y, units.Bytes(4*span64(a.N, a.IncY))); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpDOT:
-		a, err := DecodeDotArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Complex {
-			elem = 8
-		}
-		if a.X, err = mapAddr(a.X, units.Bytes(elem*span64(a.N, a.IncX))); err != nil {
-			return nil, err
-		}
-		if a.Y, err = mapAddr(a.Y, units.Bytes(elem*span64(a.N, a.IncY))); err != nil {
-			return nil, err
-		}
-		if a.Out, err = mapAddr(a.Out, units.Bytes(elem)); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		matLen := int64(0)
-		if a.M > 0 {
-			matLen = (a.M-1)*a.Lda + a.N
-		}
-		if a.A, err = mapAddr(a.A, units.Bytes(4*matLen)); err != nil {
-			return nil, err
-		}
-		if a.X, err = mapAddr(a.X, units.Bytes(4*a.N)); err != nil {
-			return nil, err
-		}
-		if a.Y, err = mapAddr(a.Y, units.Bytes(4*a.M)); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpSPMV:
-		a, err := DecodeSpmvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		if a.RowPtr, err = mapAddr(a.RowPtr, units.Bytes(4*(a.M+1))); err != nil {
-			return nil, err
-		}
-		if a.ColIdx, err = mapAddr(a.ColIdx, units.Bytes(4*a.NNZ)); err != nil {
-			return nil, err
-		}
-		if a.Values, err = mapAddr(a.Values, units.Bytes(4*a.NNZ)); err != nil {
-			return nil, err
-		}
-		if a.X, err = mapAddr(a.X, units.Bytes(4*a.Cols)); err != nil {
-			return nil, err
-		}
-		if a.Y, err = mapAddr(a.Y, units.Bytes(4*a.M)); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpRESMP:
-		a, err := DecodeResmpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Kind >= ResmpComplex {
-			elem = 8
-		}
-		if a.Src, err = mapAddr(a.Src, units.Bytes(elem*a.NIn)); err != nil {
-			return nil, err
-		}
-		if a.Dst, err = mapAddr(a.Dst, units.Bytes(elem*a.NOut)); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		total := units.Bytes(8 * a.N * a.HowMany)
-		if a.Src, err = mapAddr(a.Src, total); err != nil {
-			return nil, err
-		}
-		if a.Dst, err = mapAddr(a.Dst, total); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpRESHP:
-		a, err := DecodeReshpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Elem == ElemC64 {
-			elem = 8
-		}
-		n := units.Bytes(elem * a.Rows * a.Cols)
-		if a.Src, err = mapAddr(a.Src, n); err != nil {
-			return nil, err
-		}
-		if a.Dst, err = mapAddr(a.Dst, n); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	default:
+	e := SpecOf(op)
+	if e == nil {
 		return nil, fmt.Errorf("accel: ooc: unknown op %v", op)
 	}
+	sz, err := e.sizes(p)
+	if err != nil {
+		return nil, err
+	}
+	q, _ := e.canon(p) // cannot fail: sizes decoded p
+	for i, o := range e.ops {
+		a, err := mapAddr(descriptor.AddrOf(p[o.field]), sz[i].Bytes())
+		if err != nil {
+			return nil, err
+		}
+		q[o.field] = descriptor.AddrField(a)
+	}
+	return q, nil
 }
 
 // unitBoxes resolves the unit's window extents from its comps' directional
@@ -358,97 +225,80 @@ func unitBoxes(passes [][]passInstr, inWindow func(phys.Addr) bool) ([]oocBox, e
 
 // splitOversized divides a single-comp unit whose window footprint exceeds
 // the budget into exact pieces. Only ops with elementwise-independent
-// outputs split losslessly: AXPY by vector range, GEMV by row block, FFT by
-// batch. Reductions and global-access ops return ErrUnchunkable.
+// outputs split losslessly (the table's split entries: AXPY by vector
+// range, GEMV by row block, FFT by batch); reductions and global-access
+// ops return ErrUnchunkable.
 func splitOversized(pi passInstr, unitBytes, budget units.Bytes) ([]descriptor.Params, error) {
-	pieces := int64((unitBytes + budget - 1) / budget)
-	if pieces < 2 {
-		pieces = 2
-	}
-	switch pi.op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(pi.params)
-		if err != nil {
-			return nil, err
-		}
-		if a.IncX <= 0 || a.IncY <= 0 || a.N < pieces {
-			return nil, fmt.Errorf("%w: AXPY with n=%d incx=%d incy=%d", ErrUnchunkable, a.N, a.IncX, a.IncY)
-		}
-		per := (a.N + pieces - 1) / pieces
-		var out []descriptor.Params
-		for start := int64(0); start < a.N; start += per {
-			q := a
-			q.N = min64(per, a.N-start)
-			q.X += phys.Addr(4 * a.IncX * start)
-			q.Y += phys.Addr(4 * a.IncY * start)
-			out = append(out, q.Params())
-		}
-		return out, nil
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(pi.params)
-		if err != nil {
-			return nil, err
-		}
-		if a.M < 2 || a.Lda < a.N {
-			return nil, fmt.Errorf("%w: GEMV with m=%d lda=%d n=%d", ErrUnchunkable, a.M, a.Lda, a.N)
-		}
-		// Every piece re-reads the full x vector; rows amortise the rest.
-		fixed := units.Bytes(4 * a.N)
-		perRow := units.Bytes(4*a.Lda + 4)
-		if fixed+perRow > budget {
-			return nil, fmt.Errorf("%w: one GEMV row (%v) exceeds the staging budget %v", ErrUnchunkable, fixed+perRow, budget)
-		}
-		rows := int64((budget - fixed) / perRow)
-		if rows < 1 {
-			rows = 1
-		}
-		var out []descriptor.Params
-		for start := int64(0); start < a.M; start += rows {
-			q := a
-			q.M = min64(rows, a.M-start)
-			q.A += phys.Addr(4 * a.Lda * start)
-			q.Y += phys.Addr(4 * start)
-			out = append(out, q.Params())
-		}
-		return out, nil
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(pi.params)
-		if err != nil {
-			return nil, err
-		}
-		if a.HowMany < 2 {
-			return nil, fmt.Errorf("%w: single %d-point FFT exceeds the staging budget", ErrUnchunkable, a.N)
-		}
-		perBatch := units.Bytes(16 * a.N) // src + dst
-		if a.Dst == a.Src {
-			perBatch = units.Bytes(8 * a.N)
-		}
-		if perBatch > budget {
-			return nil, fmt.Errorf("%w: one %d-point FFT batch (%v) exceeds the staging budget %v", ErrUnchunkable, a.N, perBatch, budget)
-		}
-		batches := int64(budget / perBatch)
-		if batches < 1 {
-			batches = 1
-		}
-		var out []descriptor.Params
-		for start := int64(0); start < a.HowMany; start += batches {
-			q := a
-			q.HowMany = min64(batches, a.HowMany-start)
-			q.Src += phys.Addr(8 * a.N * start)
-			q.Dst += phys.Addr(8 * a.N * start)
-			out = append(out, q.Params())
-		}
-		return out, nil
-	default:
+	pieces := max(int64((unitBytes+budget-1)/budget), 2)
+	e := SpecOf(pi.op)
+	if e == nil || e.split == nil {
 		return nil, fmt.Errorf("%w: %v invocation footprint exceeds the staging half and the op has no exact split", ErrUnchunkable, pi.op)
 	}
+	return e.split(pi.params, pieces, budget)
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// splitAxpy divides an AXPY into pieces vector ranges.
+func splitAxpy(a AxpyArgs, pieces int64, _ units.Bytes) ([]descriptor.Params, error) {
+	if a.IncX <= 0 || a.IncY <= 0 || a.N < pieces {
+		return nil, fmt.Errorf("%w: AXPY with n=%d incx=%d incy=%d", ErrUnchunkable, a.N, a.IncX, a.IncY)
 	}
-	return b
+	per := (a.N + pieces - 1) / pieces
+	var out []descriptor.Params
+	for start := int64(0); start < a.N; start += per {
+		q := a
+		q.N = min(per, a.N-start)
+		q.X += phys.Addr(4 * a.IncX * start)
+		q.Y += phys.Addr(4 * a.IncY * start)
+		out = append(out, q.Params())
+	}
+	return out, nil
+}
+
+// splitGemv divides a GEMV into row blocks that fit the budget.
+func splitGemv(a GemvArgs, _ int64, budget units.Bytes) ([]descriptor.Params, error) {
+	if a.M < 2 || a.Lda < a.N {
+		return nil, fmt.Errorf("%w: GEMV with m=%d lda=%d n=%d", ErrUnchunkable, a.M, a.Lda, a.N)
+	}
+	// Every piece re-reads the full x vector; rows amortise the rest.
+	fixed := units.Bytes(4 * a.N)
+	perRow := units.Bytes(4*a.Lda + 4)
+	if fixed+perRow > budget {
+		return nil, fmt.Errorf("%w: one GEMV row (%v) exceeds the staging budget %v", ErrUnchunkable, fixed+perRow, budget)
+	}
+	rows := max(int64((budget-fixed)/perRow), 1)
+	var out []descriptor.Params
+	for start := int64(0); start < a.M; start += rows {
+		q := a
+		q.M = min(rows, a.M-start)
+		q.A += phys.Addr(4 * a.Lda * start)
+		q.Y += phys.Addr(4 * start)
+		out = append(out, q.Params())
+	}
+	return out, nil
+}
+
+// splitFFT divides a batched FFT into batch ranges that fit the budget.
+func splitFFT(a FFTArgs, _ int64, budget units.Bytes) ([]descriptor.Params, error) {
+	if a.HowMany < 2 {
+		return nil, fmt.Errorf("%w: single %d-point FFT exceeds the staging budget", ErrUnchunkable, a.N)
+	}
+	perBatch := units.Bytes(16 * a.N) // src + dst
+	if a.Dst == a.Src {
+		perBatch = units.Bytes(8 * a.N)
+	}
+	if perBatch > budget {
+		return nil, fmt.Errorf("%w: one %d-point FFT batch (%v) exceeds the staging budget %v", ErrUnchunkable, a.N, perBatch, budget)
+	}
+	batches := max(int64(budget/perBatch), 1)
+	var out []descriptor.Params
+	for start := int64(0); start < a.HowMany; start += batches {
+		q := a
+		q.HowMany = min(batches, a.HowMany-start)
+		q.Src += phys.Addr(8 * a.N * start)
+		q.Dst += phys.Addr(8 * a.N * start)
+		out = append(out, q.Params())
+	}
+	return out, nil
 }
 
 // oocUnitsOf decomposes the descriptor into schedulable units: every loop

@@ -14,107 +14,27 @@ type bufSpan struct {
 	Bytes units.Bytes
 }
 
-// spansOf lists the DRAM buffers one invocation touches, with their sizes.
-// The layer classifies each against the stack map to find remote traffic.
+// spansOf lists the DRAM buffers one invocation touches, with the bytes
+// each is billed. The layer classifies each against the stack map to find
+// remote traffic.
 func spansOf(op descriptor.OpCode, p descriptor.Params) ([]bufSpan, error) {
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		return []bufSpan{
-			{a.X, units.Bytes(4 * span64(a.N, a.IncX))},
-			{a.Y, units.Bytes(2 * 4 * span64(a.N, a.IncY))}, // read + write
-		}, nil
-	case descriptor.OpDOT:
-		a, err := DecodeDotArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Complex {
-			elem = 8
-		}
-		return []bufSpan{
-			{a.X, units.Bytes(elem * span64(a.N, a.IncX))},
-			{a.Y, units.Bytes(elem * span64(a.N, a.IncY))},
-			{a.Out, units.Bytes(elem)},
-		}, nil
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		matLen := int64(0)
-		if a.M > 0 {
-			matLen = (a.M-1)*a.Lda + a.N
-		}
-		return []bufSpan{
-			{a.A, units.Bytes(4 * matLen)},
-			{a.X, units.Bytes(4 * a.N)},
-			{a.Y, units.Bytes(2 * 4 * a.M)},
-		}, nil
-	case descriptor.OpSPMV:
-		a, err := DecodeSpmvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		return []bufSpan{
-			{a.RowPtr, units.Bytes(4 * (a.M + 1))},
-			{a.ColIdx, units.Bytes(4 * a.NNZ)},
-			{a.Values, units.Bytes(4 * a.NNZ)},
-			{a.X, units.Bytes(4 * a.NNZ)}, // gathers
-			{a.Y, units.Bytes(4 * a.M)},
-		}, nil
-	case descriptor.OpRESMP:
-		a, err := DecodeResmpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Kind >= ResmpComplex {
-			elem = 8
-		}
-		return []bufSpan{
-			{a.Src, units.Bytes(elem * a.NIn)},
-			{a.Dst, units.Bytes(elem * a.NOut)},
-		}, nil
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		total := units.Bytes(8 * a.N * a.HowMany)
-		if a.Src == a.Dst {
-			return []bufSpan{{a.Src, 2 * total}}, nil
-		}
-		return []bufSpan{{a.Src, total}, {a.Dst, total}}, nil
-	case descriptor.OpRESHP:
-		a, err := DecodeReshpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Elem == ElemC64 {
-			elem = 8
-		}
-		n := units.Bytes(elem * a.Rows * a.Cols)
-		return []bufSpan{{a.Src, n}, {a.Dst, n}}, nil
-	default:
+	e := SpecOf(op)
+	if e == nil {
 		return nil, nil
 	}
-}
-
-// span64 is span() for int64 operands.
-func span64(n, inc int64) int64 {
-	if n <= 0 {
-		return 0
+	set, _, err := e.operands(p, false)
+	if err != nil {
+		return nil, err
 	}
-	if inc < 0 {
-		inc = -inc
+	ops := set.ops[:set.n]
+	if e.alias == aliasMerged && ops[0].Addr == ops[1].Addr {
+		return []bufSpan{{ops[0].Addr, ops[0].Traffic + ops[1].Traffic}}, nil
 	}
-	return (n-1)*inc + 1
+	out := make([]bufSpan, len(ops))
+	for i, o := range ops {
+		out[i] = bufSpan{o.Addr, o.Traffic}
+	}
+	return out, nil
 }
 
 // remoteBytes sums the traffic of spans living outside the home stack.

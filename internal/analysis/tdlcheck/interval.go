@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/units"
 )
@@ -38,35 +39,15 @@ import (
 // space.
 var addrSpace = new(big.Int).Lsh(big.NewInt(1), 64)
 
-// prodBytes returns the exact product of the factors.
-func prodBytes(factors ...int64) *big.Int {
-	p := big.NewInt(1)
-	for _, f := range factors {
-		p.Mul(p, big.NewInt(f))
-	}
-	return p
-}
-
-// vecBytes returns elem*((n-1)*|inc|+1), the exact byte extent of a strided
-// vector of n elements.
-func vecBytes(elem, n, inc int64) *big.Int {
-	if n <= 0 {
-		return big.NewInt(0)
-	}
-	if inc < 0 {
-		inc = -inc
-	}
-	v := new(big.Int).Mul(big.NewInt(n-1), big.NewInt(inc))
-	v.Add(v, big.NewInt(1))
-	v.Mul(v, big.NewInt(elem))
-	return v
-}
-
-// fitBytes narrows an exact byte count into the verifier's size domain,
-// failing when the machine-width arithmetic downstream would overflow.
-func fitBytes(v *big.Int, what string, fail func(format string, args ...interface{})) (units.Bytes, bool) {
+// fitBytes evaluates an operand extent, Elem·(Rows·Pitch + Tail), in exact
+// arithmetic and narrows it into the verifier's size domain, failing when
+// the machine-width arithmetic downstream would overflow. n and v are
+// scratch, reused across one invocation's operands.
+func fitBytes(e accel.Extent, n, v *big.Int, op descriptor.OpCode, name string, fail func(format string, args ...interface{})) (units.Bytes, bool) {
+	n.Mul(big.NewInt(e.Rows), big.NewInt(e.Pitch))
+	v.Mul(n.Add(n, big.NewInt(e.Tail)), big.NewInt(e.Elem))
 	if v.Sign() < 0 || !v.IsInt64() {
-		fail("%s: byte size %v exceeds the verifier's 63-bit size domain", what, v)
+		fail("%v: operand %s: byte size %s exceeds the verifier's 63-bit size domain", op, name, v.String())
 		return 0, false
 	}
 	return units.Bytes(v.Int64()), true

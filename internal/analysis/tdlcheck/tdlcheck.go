@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"strings"
 
 	"mealib/internal/accel"
@@ -111,14 +112,6 @@ func (s Span) String() string {
 	return fmt.Sprintf("[%v,+%v)", s.Addr, s.Bytes)
 }
 
-// access is the direction an operand is streamed.
-type access uint8
-
-const (
-	accRead access = 1 << iota
-	accWrite
-)
-
 // operand is one buffer an invocation touches.
 type operand struct {
 	name string
@@ -126,7 +119,7 @@ type operand struct {
 	// hardware loop nest strides (what the whole LOOP touches).
 	base, ext Span
 	align     int64 // required address alignment (element size)
-	acc       access
+	acc       accel.Access
 	// strides is the per-level byte advance the hardware applies to the
 	// operand's base address each loop trip (zero outside a LOOP). Kept on
 	// the operand so the interval analysis can re-derive the extension in
@@ -165,229 +158,46 @@ func extend(base Span, st accel.Strides, counts descriptor.LoopCounts) Span {
 	return out
 }
 
-// noStrides is the zero loop-stride vector for operands without per-level
-// advancement.
-var noStrides accel.Strides
-
 // operandsOf decodes the parameter block of one invocation, performs the
 // per-kernel semantic checks, and returns the operand list. counts is the
 // enclosing hardware loop nest (all-ones outside a LOOP).
 func operandsOf(op descriptor.OpCode, p descriptor.Params, counts descriptor.LoopCounts, fail func(format string, args ...interface{})) []operand {
-	mk := func(name string, addr phys.Addr, n units.Bytes, align int64, acc access, st accel.Strides) operand {
-		base := Span{Addr: addr, Bytes: n}
-		return operand{name: name, base: base, ext: extend(base, st, counts), align: align, acc: acc, strides: st}
-	}
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := accel.DecodeAxpyArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.N <= 0 {
-			fail("AXPY: non-positive vector length N=%d", a.N)
-			return nil
-		}
-		if a.IncX == 0 || a.IncY == 0 {
-			fail("AXPY: zero vector increment (incX=%d incY=%d)", a.IncX, a.IncY)
-			return nil
-		}
-		xb, okx := fitBytes(vecBytes(4, a.N, a.IncX), "AXPY: operand x", fail)
-		yb, oky := fitBytes(vecBytes(4, a.N, a.IncY), "AXPY: operand y", fail)
-		if !okx || !oky {
-			return nil
-		}
-		return []operand{
-			mk("x", a.X, xb, 4, accRead, a.LoopStrideX),
-			mk("y", a.Y, yb, 4, accRead|accWrite, a.LoopStrideY),
-		}
-	case descriptor.OpDOT:
-		a, err := accel.DecodeDotArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.N <= 0 {
-			fail("DOT: non-positive vector length N=%d", a.N)
-			return nil
-		}
-		if a.IncX == 0 || a.IncY == 0 {
-			fail("DOT: zero vector increment (incX=%d incY=%d)", a.IncX, a.IncY)
-			return nil
-		}
-		elem := int64(4)
-		if a.Complex {
-			elem = 8
-		}
-		xb, okx := fitBytes(vecBytes(elem, a.N, a.IncX), "DOT: operand x", fail)
-		yb, oky := fitBytes(vecBytes(elem, a.N, a.IncY), "DOT: operand y", fail)
-		if !okx || !oky {
-			return nil
-		}
-		return []operand{
-			mk("x", a.X, xb, elem, accRead, a.LoopStrideX),
-			mk("y", a.Y, yb, elem, accRead, a.LoopStrideY),
-			mk("out", a.Out, units.Bytes(elem), elem, accWrite, a.LoopStrideOut),
-		}
-	case descriptor.OpGEMV:
-		a, err := accel.DecodeGemvArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.M <= 0 || a.N <= 0 {
-			fail("GEMV: non-positive matrix dimensions %dx%d", a.M, a.N)
-			return nil
-		}
-		if a.Lda < a.N {
-			fail("GEMV: leading dimension %d smaller than row length %d (operand size mismatch)", a.Lda, a.N)
-			return nil
-		}
-		yAcc := accWrite
-		if a.Beta != 0 {
-			yAcc |= accRead // y is accumulated into only when beta != 0
-		}
-		arow := new(big.Int).Mul(big.NewInt(a.M-1), big.NewInt(a.Lda))
-		arow.Add(arow, big.NewInt(a.N))
-		arow.Mul(arow, big.NewInt(4))
-		ab, oka := fitBytes(arow, "GEMV: operand A", fail)
-		xb, okx := fitBytes(prodBytes(4, a.N), "GEMV: operand x", fail)
-		yb, oky := fitBytes(prodBytes(4, a.M), "GEMV: operand y", fail)
-		if !oka || !okx || !oky {
-			return nil
-		}
-		return []operand{
-			mk("A", a.A, ab, 4, accRead, a.LoopStrideA),
-			mk("x", a.X, xb, 4, accRead, a.LoopStrideX),
-			mk("y", a.Y, yb, 4, yAcc, a.LoopStrideY),
-		}
-	case descriptor.OpSPMV:
-		a, err := accel.DecodeSpmvArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.M <= 0 || a.Cols <= 0 {
-			fail("SPMV: non-positive matrix dimensions %dx%d", a.M, a.Cols)
-			return nil
-		}
-		if a.NNZ < 0 {
-			fail("SPMV: negative non-zero count %d", a.NNZ)
-			return nil
-		}
-		if a.Semiring != accel.SpmvPlusTimes && a.Semiring != accel.SpmvMinPlus {
-			fail("SPMV: unknown semiring %d", a.Semiring)
-			return nil
-		}
-		rp := new(big.Int).Add(big.NewInt(a.M), big.NewInt(1))
-		rp.Mul(rp, big.NewInt(4))
-		rpb, okr := fitBytes(rp, "SPMV: operand rowPtr", fail)
-		cib, okc := fitBytes(prodBytes(4, a.NNZ), "SPMV: operand colIdx", fail)
-		xb, okx := fitBytes(prodBytes(4, a.Cols), "SPMV: operand x", fail)
-		yb, oky := fitBytes(prodBytes(4, a.M), "SPMV: operand y", fail)
-		if !okr || !okc || !okx || !oky {
-			return nil
-		}
-		return []operand{
-			mk("rowPtr", a.RowPtr, rpb, 4, accRead, noStrides),
-			mk("colIdx", a.ColIdx, cib, 4, accRead, noStrides),
-			mk("values", a.Values, cib, 4, accRead, noStrides),
-			mk("x", a.X, xb, 4, accRead, noStrides),
-			mk("y", a.Y, yb, 4, accWrite, noStrides),
-		}
-	case descriptor.OpRESMP:
-		a, err := accel.DecodeResmpArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.Kind < 0 || a.Kind >= 2*accel.ResmpComplex {
-			fail("RESMP: invalid interpolation kind %d", a.Kind)
-			return nil
-		}
-		if a.NIn < 2 {
-			fail("RESMP: interpolation needs at least 2 input samples, got %d", a.NIn)
-			return nil
-		}
-		if a.NOut <= 0 {
-			fail("RESMP: non-positive output length %d", a.NOut)
-			return nil
-		}
-		elem := int64(4)
-		if a.Kind >= accel.ResmpComplex {
-			elem = 8
-		}
-		sb, oks := fitBytes(prodBytes(elem, a.NIn), "RESMP: operand src", fail)
-		db, okd := fitBytes(prodBytes(elem, a.NOut), "RESMP: operand dst", fail)
-		if !oks || !okd {
-			return nil
-		}
-		return []operand{
-			mk("src", a.Src, sb, elem, accRead, a.LoopStrideSrc),
-			mk("dst", a.Dst, db, elem, accWrite, a.LoopStrideDst),
-		}
-	case descriptor.OpFFT:
-		a, err := accel.DecodeFFTArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.N <= 0 || a.N&(a.N-1) != 0 {
-			fail("FFT: transform length %d is not a power of two", a.N)
-			return nil
-		}
-		if a.HowMany <= 0 {
-			fail("FFT: non-positive batch count %d", a.HowMany)
-			return nil
-		}
-		total, okt := fitBytes(prodBytes(8, a.N, a.HowMany), "FFT: operand data", fail)
-		if !okt {
-			return nil
-		}
-		if a.Src == a.Dst {
-			return []operand{mk("data", a.Src, total, 8, accRead|accWrite, a.LoopStrideSrc)}
-		}
-		return []operand{
-			mk("src", a.Src, total, 8, accRead, a.LoopStrideSrc),
-			mk("dst", a.Dst, total, 8, accWrite, a.LoopStrideDst),
-		}
-	case descriptor.OpRESHP:
-		a, err := accel.DecodeReshpArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.Rows <= 0 || a.Cols <= 0 {
-			fail("RESHP: non-positive matrix dimensions %dx%d", a.Rows, a.Cols)
-			return nil
-		}
-		if a.Elem != accel.ElemF32 && a.Elem != accel.ElemC64 {
-			fail("RESHP: invalid element kind %d", a.Elem)
-			return nil
-		}
-		elem := int64(4)
-		if a.Elem == accel.ElemC64 {
-			elem = 8
-		}
-		n, okn := fitBytes(prodBytes(elem, a.Rows, a.Cols), "RESHP: operand data", fail)
-		if !okn {
-			return nil
-		}
-		if a.Src == a.Dst {
-			if a.Rows != a.Cols {
-				fail("RESHP: in-place transpose requires a square matrix, got %dx%d", a.Rows, a.Cols)
-				return nil
-			}
-			return []operand{mk("data", a.Src, n, elem, accRead|accWrite, noStrides)}
-		}
-		return []operand{
-			mk("src", a.Src, n, elem, accRead, noStrides),
-			mk("dst", a.Dst, n, elem, accWrite, noStrides),
-		}
-	default:
+	spec := accel.SpecOf(op)
+	if spec == nil {
 		fail("unknown accelerator opcode %v", op)
 		return nil
 	}
+	ops, inPlace, err := spec.Verify(p)
+	if err != nil {
+		fail("%v", err)
+		return nil
+	}
+	// Every operand size must fit the verifier's size domain, computed
+	// exactly; operands sharing a size are checked once.
+	out := make([]operand, len(ops))
+	ok := true
+	var n, v big.Int
+	for i, o := range ops {
+		base := Span{Addr: o.Addr}
+		sameSize := func(p accel.Operand) bool { return p.SizeName == o.SizeName }
+		if j := slices.IndexFunc(ops[:i], sameSize); j >= 0 {
+			base.Bytes = out[j].base.Bytes
+		} else {
+			var fits bool
+			base.Bytes, fits = fitBytes(o.Size, &n, &v, op, o.SizeName, fail)
+			ok = ok && fits
+		}
+		out[i] = operand{name: o.Name, base: base, ext: extend(base, o.Strides, counts),
+			align: o.Size.Elem, acc: o.VerifyAccess, strides: o.Strides}
+	}
+	if !ok {
+		return nil
+	}
+	if inPlace != nil {
+		fail("%v", inPlace)
+		return nil
+	}
+	return out
 }
 
 // checkComp runs the per-invocation checks common to every kernel:
@@ -406,7 +216,7 @@ func checkComp(c *comp, e *errs) {
 	for i := 0; i < len(c.ops); i++ {
 		for j := i + 1; j < len(c.ops); j++ {
 			a, b := c.ops[i], c.ops[j]
-			if a.acc&accWrite == 0 && b.acc&accWrite == 0 {
+			if a.acc&accel.AccWrite == 0 && b.acc&accel.AccWrite == 0 {
 				continue
 			}
 			if a.base.Overlaps(b.base) && a.base != b.base {
@@ -648,11 +458,11 @@ func checkComps(comps []*comp, o *options, e *errs) {
 				continue
 			}
 			for _, ra := range a.ops {
-				if ra.acc&accRead == 0 {
+				if ra.acc&accel.AccRead == 0 {
 					continue
 				}
 				for _, wb := range b.ops {
-					if wb.acc&accWrite == 0 {
+					if wb.acc&accel.AccWrite == 0 {
 						continue
 					}
 					if ra.base.Overlaps(wb.base) {
@@ -673,7 +483,7 @@ func checkComps(comps []*comp, o *options, e *errs) {
 	init := append([]Span(nil), o.initialized...)
 	for _, c := range comps {
 		for _, op := range c.ops {
-			if op.acc&accRead == 0 {
+			if op.acc&accel.AccRead == 0 {
 				continue
 			}
 			covered := false
@@ -688,7 +498,7 @@ func checkComps(comps []*comp, o *options, e *errs) {
 			}
 		}
 		for _, op := range c.ops {
-			if op.acc&accWrite != 0 {
+			if op.acc&accel.AccWrite != 0 {
 				init = append(init, op.ext)
 			}
 		}
@@ -714,7 +524,7 @@ func Writes(d *descriptor.Descriptor) ([]Span, error) {
 		}
 		ops := operandsOf(c.op, params, c.counts, func(string, ...interface{}) {})
 		for _, op := range ops {
-			if op.acc&accWrite != 0 {
+			if op.acc&accel.AccWrite != 0 {
 				out = append(out, op.ext)
 			}
 		}
@@ -741,7 +551,7 @@ func Reads(d *descriptor.Descriptor) ([]Span, error) {
 		}
 		ops := operandsOf(c.op, params, c.counts, func(string, ...interface{}) {})
 		for _, op := range ops {
-			if op.acc&accRead != 0 {
+			if op.acc&accel.AccRead != 0 {
 				out = append(out, op.ext)
 			}
 		}

@@ -119,242 +119,49 @@ func (pcb *callBinder) bufAddr(fi int) (phys.Addr, error) {
 	return phys.Addr(addr.Uint64()), nil
 }
 
-// intOf resolves an integer field by position.
-func (pcb *callBinder) intOf(fi int) (int64, error) {
-	v, err := pcb.resolve(fi)
-	return int64(v), err
-}
-
-// f32Of resolves a float field by position.
-func (pcb *callBinder) f32Of(fi int) (float32, error) {
-	v, err := pcb.resolve(fi)
-	return descriptor.F32Of(v), err
-}
-
-// strides returns the field's per-level strides as accel.Strides.
-func (pcb *callBinder) strides(fi int) accel.Strides {
-	var s accel.Strides
-	raw := pcb.pc.Strides[fi]
-	for i := range s {
-		s[i] = raw[i]
-	}
-	return s
-}
-
-// bindCall assembles the concrete accelerator argument block for one call.
+// bindCall assembles the concrete accelerator argument block for one call
+// from the accelerator's field layout: the symbol's fields in order (fields
+// the call does not name, like SPMV's semiring and bias, stay zero), then
+// the loop strides of each strided buffer field.
 func bindCall(pc *PlannedCall, b *Binding) (descriptor.Params, error) {
-	pcb := &callBinder{pc: pc, b: b, ints: b.ints()}
-	sym := pc.Sym
-	fail := func(err error) (descriptor.Params, error) { return nil, err }
-	switch sym.Op {
-	case descriptor.OpAXPY:
-		n, err := pcb.intOf(0)
-		if err != nil {
-			return fail(err)
-		}
-		alpha, err := pcb.f32Of(1)
-		if err != nil {
-			return fail(err)
-		}
-		x, err := pcb.bufAddr(2)
-		if err != nil {
-			return fail(err)
-		}
-		y, err := pcb.bufAddr(3)
-		if err != nil {
-			return fail(err)
-		}
-		incx, err := pcb.intOf(4)
-		if err != nil {
-			return fail(err)
-		}
-		incy, err := pcb.intOf(5)
-		if err != nil {
-			return fail(err)
-		}
-		return accel.AxpyArgs{
-			N: n, Alpha: alpha, X: x, Y: y, IncX: incx, IncY: incy,
-			LoopStrideX: pcb.strides(2), LoopStrideY: pcb.strides(3),
-		}.Params(), nil
-	case descriptor.OpDOT:
-		n, err := pcb.intOf(0)
-		if err != nil {
-			return fail(err)
-		}
-		cplx, err := pcb.intOf(1)
-		if err != nil {
-			return fail(err)
-		}
-		x, err := pcb.bufAddr(2)
-		if err != nil {
-			return fail(err)
-		}
-		y, err := pcb.bufAddr(3)
-		if err != nil {
-			return fail(err)
-		}
-		out, err := pcb.bufAddr(4)
-		if err != nil {
-			return fail(err)
-		}
-		incx, err := pcb.intOf(5)
-		if err != nil {
-			return fail(err)
-		}
-		incy, err := pcb.intOf(6)
-		if err != nil {
-			return fail(err)
-		}
-		return accel.DotArgs{
-			N: n, Complex: cplx != 0, X: x, Y: y, Out: out, IncX: incx, IncY: incy,
-			LoopStrideX: pcb.strides(2), LoopStrideY: pcb.strides(3), LoopStrideOut: pcb.strides(4),
-		}.Params(), nil
-	case descriptor.OpGEMV:
-		m, err := pcb.intOf(0)
-		if err != nil {
-			return fail(err)
-		}
-		n, err := pcb.intOf(1)
-		if err != nil {
-			return fail(err)
-		}
-		alpha, err := pcb.f32Of(2)
-		if err != nil {
-			return fail(err)
-		}
-		beta, err := pcb.f32Of(3)
-		if err != nil {
-			return fail(err)
-		}
-		a, err := pcb.bufAddr(4)
-		if err != nil {
-			return fail(err)
-		}
-		lda, err := pcb.intOf(5)
-		if err != nil {
-			return fail(err)
-		}
-		x, err := pcb.bufAddr(6)
-		if err != nil {
-			return fail(err)
-		}
-		y, err := pcb.bufAddr(7)
-		if err != nil {
-			return fail(err)
-		}
-		return accel.GemvArgs{
-			M: m, N: n, Alpha: alpha, Beta: beta, A: a, Lda: lda, X: x, Y: y,
-			LoopStrideA: pcb.strides(4), LoopStrideX: pcb.strides(6), LoopStrideY: pcb.strides(7),
-		}.Params(), nil
-	case descriptor.OpSPMV:
-		m, err := pcb.intOf(0)
-		if err != nil {
-			return fail(err)
-		}
-		cols, err := pcb.intOf(1)
-		if err != nil {
-			return fail(err)
-		}
-		nnz, err := pcb.intOf(2)
-		if err != nil {
-			return fail(err)
-		}
-		rp, err := pcb.bufAddr(3)
-		if err != nil {
-			return fail(err)
-		}
-		ci, err := pcb.bufAddr(4)
-		if err != nil {
-			return fail(err)
-		}
-		vals, err := pcb.bufAddr(5)
-		if err != nil {
-			return fail(err)
-		}
-		x, err := pcb.bufAddr(6)
-		if err != nil {
-			return fail(err)
-		}
-		y, err := pcb.bufAddr(7)
-		if err != nil {
-			return fail(err)
-		}
-		return accel.SpmvArgs{M: m, Cols: cols, NNZ: nnz, RowPtr: rp, ColIdx: ci, Values: vals, X: x, Y: y}.Params(), nil
-	case descriptor.OpRESMP:
-		nin, err := pcb.intOf(0)
-		if err != nil {
-			return fail(err)
-		}
-		nout, err := pcb.intOf(1)
-		if err != nil {
-			return fail(err)
-		}
-		kind, err := pcb.intOf(2)
-		if err != nil {
-			return fail(err)
-		}
-		src, err := pcb.bufAddr(3)
-		if err != nil {
-			return fail(err)
-		}
-		dst, err := pcb.bufAddr(4)
-		if err != nil {
-			return fail(err)
-		}
-		return accel.ResmpArgs{
-			NIn: nin, NOut: nout, Kind: kind, Src: src, Dst: dst,
-			LoopStrideSrc: pcb.strides(3), LoopStrideDst: pcb.strides(4),
-		}.Params(), nil
-	case descriptor.OpFFT:
-		n, err := pcb.intOf(0)
-		if err != nil {
-			return fail(err)
-		}
-		inv, err := pcb.intOf(1)
-		if err != nil {
-			return fail(err)
-		}
-		howMany, err := pcb.intOf(2)
-		if err != nil {
-			return fail(err)
-		}
-		src, err := pcb.bufAddr(3)
-		if err != nil {
-			return fail(err)
-		}
-		dst, err := pcb.bufAddr(4)
-		if err != nil {
-			return fail(err)
-		}
-		return accel.FFTArgs{
-			N: n, Inverse: inv != 0, HowMany: howMany, Src: src, Dst: dst,
-			LoopStrideSrc: pcb.strides(3), LoopStrideDst: pcb.strides(4),
-		}.Params(), nil
-	case descriptor.OpRESHP:
-		rows, err := pcb.intOf(0)
-		if err != nil {
-			return fail(err)
-		}
-		cols, err := pcb.intOf(1)
-		if err != nil {
-			return fail(err)
-		}
-		elem, err := pcb.intOf(2)
-		if err != nil {
-			return fail(err)
-		}
-		src, err := pcb.bufAddr(3)
-		if err != nil {
-			return fail(err)
-		}
-		dst, err := pcb.bufAddr(4)
-		if err != nil {
-			return fail(err)
-		}
-		return accel.ReshpArgs{Rows: rows, Cols: cols, Elem: accel.ElemKind(elem), Src: src, Dst: dst}.Params(), nil
-	default:
-		return nil, fmt.Errorf("no binder for opcode %v", sym.Op)
+	spec := accel.SpecOf(pc.Sym.Op)
+	if spec == nil {
+		return nil, fmt.Errorf("no binder for opcode %v", pc.Sym.Op)
 	}
+	pcb := &callBinder{pc: pc, b: b, ints: b.ints()}
+	p := make(descriptor.Params, len(spec.Fields), spec.NumParams)
+	for fi, f := range spec.Fields[:min(len(spec.Fields), len(pc.Sym.Fields))] {
+		var err error
+		switch f.Kind {
+		case accel.FieldAddr:
+			var a phys.Addr
+			a, err = pcb.bufAddr(fi)
+			p[fi] = descriptor.AddrField(a)
+		case accel.FieldFlag:
+			var v uint64
+			v, err = pcb.resolve(fi)
+			if v != 0 {
+				p[fi] = 1
+			}
+		case accel.FieldF32:
+			var v uint64
+			v, err = pcb.resolve(fi)
+			p[fi] = descriptor.F32Field(descriptor.F32Of(v))
+		default:
+			p[fi], err = pcb.resolve(fi)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	for fi, f := range spec.Fields {
+		if f.Strided {
+			for _, st := range pc.Strides[fi] {
+				p = append(p, uint64(st))
+			}
+		}
+	}
+	return p, nil
 }
 
 // Describe renders a human-readable summary of a compilation result (used

@@ -16,6 +16,7 @@
 package mealibd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -89,12 +90,24 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("mealibd: frame of %d bytes exceeds the %d limit", n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Grow the buffer as bytes arrive rather than trusting the header: a
+	// peer announcing a large frame and then stalling or hanging up costs
+	// what it actually sent, not what it claimed. The MinRead slack lets
+	// a frame within the first chunk land without regrowing the buffer.
+	var buf bytes.Buffer
+	buf.Grow(min(int(n), frameChunk) + bytes.MinRead)
+	if k, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF && k > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	return payload, nil
+	return buf.Bytes(), nil
 }
+
+// frameChunk is the most ReadFrame allocates for a frame before its bytes
+// arrive; larger frames grow geometrically as they do.
+const frameChunk = 64 << 10
 
 // Enc builds a payload.
 type Enc struct{ b []byte }
@@ -219,9 +232,11 @@ func MarshalDescriptor(e *Enc, d *descriptor.Descriptor) error {
 // builder API, so every structural invariant AddComp/AddLoop enforce holds
 // for wire-received descriptors too.
 func UnmarshalDescriptor(d *Dec) (*descriptor.Descriptor, error) {
+	// Every count is bounded by the bytes left before anything is sized
+	// from it: an instruction takes at least one byte, a field eight.
 	n := int(d.U32())
-	if n > maxFrame/8 {
-		return nil, fmt.Errorf("mealibd: descriptor instruction count %d too large", n)
+	if n > len(d.b) {
+		return nil, fmt.Errorf("mealibd: descriptor instruction count %d exceeds the %d payload bytes left", n, len(d.b))
 	}
 	out := &descriptor.Descriptor{}
 	for i := 0; i < n && d.err == nil; i++ {
@@ -229,8 +244,8 @@ func UnmarshalDescriptor(d *Dec) (*descriptor.Descriptor, error) {
 		case descriptor.KindComp:
 			op := descriptor.OpCode(d.U8())
 			nf := int(d.U32())
-			if nf > maxFrame/8 {
-				return nil, fmt.Errorf("mealibd: parameter block of %d fields too large", nf)
+			if nf > len(d.b)/8 {
+				return nil, fmt.Errorf("mealibd: parameter block of %d fields exceeds the %d payload bytes left", nf, len(d.b))
 			}
 			p := make(descriptor.Params, nf)
 			for j := range p {
